@@ -117,10 +117,6 @@ class PaxosConfig:
     batch: bool = False
     batch_window: float = 0.002
     batch_max: int = 16
-    # Durable-write latency: an acceptor must persist its promise or
-    # accepted value before answering, so replies to Prepare and Accept
-    # are delayed by this much (models fsync; 0 = in-memory).
-    disk_write_latency: float = 0.0
     # Pipeline flow control: bound on in-flight unchosen slots at the
     # leader.  Proposals beyond the window wait in the admission queue
     # and are issued as commits drain, so bursty load fills the pipe
@@ -880,7 +876,7 @@ class PaxosReplica:
                 return  # disk IO error: cannot promise durably, stay silent
             self._fsync_then_send(src, reply, REC_PROMISE, msg.ballot, -1, "")
             return
-        self._send_durable(src, reply)
+        self.transport.send(src, reply)
 
     def _on_promise(self, src: str, msg: Promise) -> None:
         if not self._campaigning or msg.ballot != self.ballot:
@@ -1089,7 +1085,7 @@ class PaxosReplica:
                 )
             # On append failure (IO error) no ack: the leader retries.
         else:
-            self._send_durable(src, Accepted(msg.ballot, msg.slot))
+            self.transport.send(src, Accepted(msg.ballot, msg.slot))
         self._learn_commit_index(src, msg.ballot, msg.commit_index)
 
     def _on_accept_batch(self, src: str, msg: AcceptBatch) -> None:
@@ -1136,18 +1132,10 @@ class PaxosReplica:
 
                 self._after_fsync(on_durable)
             else:
-                self._send_durable(src, reply)
+                self.transport.send(src, reply)
         elif compacted:
             self.transport.send(src, AcceptedBatch(msg.ballot, tuple(compacted)))
         self._learn_commit_index(src, msg.ballot, msg.commit_index)
-
-    def _send_durable(self, dst: str, msg: Any) -> None:
-        """Send after the modelled durable write completes."""
-        disk = self.config.disk_write_latency
-        if disk <= 0:
-            self.transport.send(dst, msg)
-        else:
-            self.transport.set_timer(disk, self.transport.send, dst, msg)
 
     def _observe_other_leader(self, src: str, ballot: Ballot) -> None:
         """A higher-or-equal ballot from another node means we follow it."""

@@ -180,7 +180,10 @@ class ScatterNode(Node):
         self.set_timer(self._rng.uniform(0.0, self.config.gossip_interval), self._gossip_tick)
 
     def on_restart(self) -> None:
-        for replica in self.groups.values():
+        # Snapshot: WAL replay of a committed split calls create_group,
+        # and a group created that way is a fresh replica with nothing to
+        # restart.
+        for replica in list(self.groups.values()):
             replica.paxos.on_host_restart()
         self.start()
 

@@ -1511,12 +1511,10 @@ def run_e20(quick: bool = True, seed: int = 20) -> ExperimentResult:
 def run_e21(quick: bool = True, seed: int = 21) -> ExperimentResult:
     """Throughput and routing quality as the ring grows to paper scale.
 
-    E6 stops at 240 nodes; this experiment rides the simulator's
-    constant-cost event path (direct-dispatch delivery, message-entry
-    pooling) and the clients' precomputed bisect routing tables
-    (``ClientConfig.route_table``) to thousands of nodes in a single
-    deployment — the regime Scatter's scalability story is actually
-    about.  Client caches are sized to hold the whole ring, so a warm
+    E6 stops at 240 nodes; this experiment rides the clients'
+    precomputed bisect routing tables (``ClientConfig.route_table``)
+    to thousands of nodes in a single deployment — the regime
+    Scatter's scalability story is actually about.  Client caches are sized to hold the whole ring, so a warm
     client resolves any key in O(log groups) locally and one hop
     remotely; ``hops_per_op`` staying ~1 across the sweep is the
     routing-scalability claim, flat ``p50`` is the latency claim, and

@@ -71,7 +71,7 @@ def _bench_event_throughput_handles(n: int) -> Callable[[], int]:
 
 
 def _bench_net_send_deliver(n: int) -> Callable[[], int]:
-    """Two endpoints ping-pong over a fault-free network (fast path)."""
+    """Two endpoints ping-pong over a fault-free network."""
 
     def run() -> int:
         sim = Simulator(seed=1)
@@ -95,12 +95,12 @@ def _bench_net_send_deliver(n: int) -> Callable[[], int]:
 
 
 def _bench_net_send_deliver_faulty(n: int) -> Callable[[], int]:
-    """Same ping-pong with drop/dup/slowdown active (slow path)."""
+    """Same ping-pong with drop/dup draws and a link slowdown active."""
 
     def run() -> int:
         sim = Simulator(seed=1)
         net = SimNetwork(sim, latency=ConstantLatency(0.001), drop_prob=0.01, dup_prob=0.01)
-        net.set_link_slowdown("c", "d", 4.0)  # unrelated link; keeps slow path on
+        net.set_link_slowdown("c", "d", 4.0)  # unrelated link: non-empty slowdown table
         got = [0]
         def pong(src: str, msg: Any) -> None:
             got[0] += 1
@@ -223,54 +223,6 @@ def _bench_ring_lookup(n_lookups: int, n_groups: int) -> Callable[[], int]:
     return run
 
 
-def _bench_pooled_send_deliver(n: int) -> Callable[[], int]:
-    """The fault-free send->deliver path, pooled vs unpooled, in one
-    process: the same ping-pong as ``net_send_deliver`` run once with
-    ``pooling=False`` (the pre-PR code path: latency.sample call,
-    _deliver frame, per-delivery set probes and tuple allocations) and
-    once with the direct-dispatch pooled path.  The reported value is
-    the pooled rate; the in-process A/B ratio lands in ``extra``.
-    """
-
-    def one(pooling: bool) -> float:
-        sim = Simulator(seed=1)
-        net = SimNetwork(sim, latency=ConstantLatency(0.001), pooling=pooling)
-        got = [0]
-
-        def pong(src: str, msg: Any) -> None:
-            got[0] += 1
-            if got[0] < n:
-                net.send("b", "a", msg)
-
-        def ping(src: str, msg: Any) -> None:
-            got[0] += 1
-            if got[0] < n:
-                net.send("a", "b", msg)
-
-        net.register("a", ping)
-        net.register("b", pong)
-        net.send("a", "b", "ping")
-        t0 = time.perf_counter()
-        sim.run()
-        return time.perf_counter() - t0
-
-    def run() -> int:
-        unpooled_wall = one(False)
-        pooled_wall = one(True)
-        pooled_rate = n / pooled_wall if pooled_wall > 0 else 0.0
-        unpooled_rate = n / unpooled_wall if unpooled_wall > 0 else 0.0
-        run.self_timed = (n, pooled_wall)  # type: ignore[attr-defined]
-        run.extra = {  # type: ignore[attr-defined]
-            "unpooled_msgs_per_s": round(unpooled_rate, 1),
-            "speedup_vs_unpooled": round(pooled_rate / unpooled_rate, 2)
-            if unpooled_rate
-            else None,
-        }
-        return n
-
-    return run
-
-
 def _bench_write_path(n: int) -> Callable[[], int]:
     """Write-path saturation: a 3-replica Paxos group with the full
     throughput stack on (slot batching, pipelined slots, accept
@@ -343,7 +295,6 @@ def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
         ("event_throughput_handles", "events_per_s", _bench_event_throughput_handles(n_events)),
         ("net_send_deliver", "msgs_per_s", _bench_net_send_deliver(n_msgs)),
         ("net_send_deliver_faulty", "msgs_per_s", _bench_net_send_deliver_faulty(n_msgs)),
-        ("pooled_send_deliver", "msgs_per_s", _bench_pooled_send_deliver(n_msgs)),
         ("ring_lookup_10k", "lookups_per_s", _bench_ring_lookup(n_lookups, n_lookup_groups)),
         ("e2e_scatter_ops", "events_per_s", _bench_e2e_ops(e2e_duration)),
         ("write_path_saturation", "events_per_s", _bench_write_path(n_writes)),

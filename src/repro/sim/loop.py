@@ -13,26 +13,6 @@ from repro.sim.events import EventHandle, EventQueue
 # named constants from repro.sim.events: a LOAD_GLOBAL per access is
 # measurable at millions of events per second.  Layout: [time, seq, fn,
 # args] with fn None once cancelled or popped (see events.py).
-#
-# Direct-dispatch delivery entries (see SimNetwork's fast send path)
-# are 7-slot lists [time, seq, handler, [src, msg], stats, dst, net]:
-# the event function IS the destination handler, so a message delivery
-# runs straight from the loop with no network frame in between — the
-# replica-local delivery fast path.  Because ``seq`` is unique, heap
-# comparison never reads past index 1, so the extra slots are inert.
-# The loop finishes the network's bookkeeping (stats.delivered) after
-# the handler returns and recycles the entry into ``Simulator._msg_pool``
-# with its argument slots cleared, so message objects are not pinned
-# and steady-state delivery allocates nothing.  All of it is invisible
-# to simulation results: a direct entry consumes the same sequence
-# number, sorts identically, and runs the same handler at the same time
-# as a classic _deliver entry; SimNetwork de-optimizes in-flight
-# entries whenever a delivery-time check could become non-vacuous.
-
-# Upper bound on recycled delivery entries kept around; beyond this the
-# pool stops growing and entries fall back to the garbage collector.
-# Bounds memory at ~peak in-flight messages, not total messages.
-_MSG_POOL_CAP = 8192
 
 
 class Simulator:
@@ -57,10 +37,6 @@ class Simulator:
         self._rngs: dict[str, random.Random] = {}
         self._stopped = False
         self._events_processed = 0
-        # Recycled 5-slot delivery entries for the pooled network send
-        # path (see module comment).  Shared by every network bound to
-        # this simulator; only the run loops below ever refill it.
-        self._msg_pool: list[list] = []
         # Ambient tracing hookup (repro.obs): consulted exactly once, at
         # construction.  ``tracer`` is None in the untraced default, so
         # every instrumented call site in the stack reduces to one
@@ -159,17 +135,7 @@ class Simulator:
             assert entry[0] >= self._now, "event heap returned a past event"
             self._now = entry[0]
             self._events_processed += 1
-            # Same direct-dispatch bookkeeping as the run loops (module
-            # comment), so single-stepping stays result-identical.
-            if len(entry) == 7:
-                args = entry[3]
-                fn(args[0], args[1])
-                entry[4].delivered += 1
-                if len(self._msg_pool) < _MSG_POOL_CAP:
-                    args[0] = args[1] = None
-                    self._msg_pool.append(entry)
-            else:
-                fn(*entry[3])
+            fn(*entry[3])
             return True
         return False
 
@@ -179,9 +145,6 @@ class Simulator:
         queue = self._queue
         heap = queue._heap
         pop = heappop
-        pool = self._msg_pool
-        cap = _MSG_POOL_CAP
-        size = len
         # Folding the no-limit case into an unreachable bound keeps the
         # per-event limit check to a single comparison.
         limit = float("inf") if max_events is None else max_events
@@ -200,22 +163,7 @@ class Simulator:
                 entry[2] = None
                 processed += 1
                 self._now = entry[0]
-                # Direct-dispatch delivery entries (7-slot; see module
-                # comment): call the handler through the specialized
-                # two-positional-arg path (fn(*args) compiles to the
-                # slow CALL_FUNCTION_EX), then complete the network's
-                # delivered accounting and recycle the entry.  Only
-                # after a clean return — a raising handler leaves the
-                # count untouched and the entry to the GC.
-                if size(entry) == 7:
-                    args = entry[3]
-                    fn(args[0], args[1])
-                    entry[4].delivered += 1
-                    if size(pool) < cap:
-                        args[0] = args[1] = None
-                        pool.append(entry)
-                else:
-                    fn(*entry[3])
+                fn(*entry[3])
         finally:
             queue._live -= processed
             self._events_processed += processed
@@ -233,9 +181,6 @@ class Simulator:
         queue = self._queue
         heap = queue._heap
         pop = heappop
-        pool = self._msg_pool
-        cap = _MSG_POOL_CAP
-        size = len
         processed = 0
         try:
             while heap and not self._stopped:
@@ -250,15 +195,7 @@ class Simulator:
                 entry[2] = None
                 processed += 1
                 self._now = entry[0]
-                if size(entry) == 7:
-                    args = entry[3]
-                    fn(args[0], args[1])
-                    entry[4].delivered += 1
-                    if size(pool) < cap:
-                        args[0] = args[1] = None
-                        pool.append(entry)
-                else:
-                    fn(*entry[3])
+                fn(*entry[3])
         finally:
             queue._live -= processed
             self._events_processed += processed

@@ -26,9 +26,7 @@ latency model is non-constant — exactly the asynchrony Paxos must handle.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from heapq import heappush
 from typing import Any, Callable
 
 from repro.sim.latency import ConstantLatency, LatencyModel
@@ -55,12 +53,6 @@ class NetworkStats:
     count_types: bool = False
     by_type: dict[str, int] = field(default_factory=dict)
 
-    def note_sent(self, msg: Any) -> None:
-        self.sent += 1
-        if self.count_types:
-            name = type(msg).__name__
-            self.by_type[name] = self.by_type.get(name, 0) + 1
-
 
 class SimNetwork:
     """Best-effort asynchronous message network over a :class:`Simulator`."""
@@ -71,16 +63,11 @@ class SimNetwork:
         latency: LatencyModel | None = None,
         drop_prob: float = 0.0,
         dup_prob: float = 0.0,
-        pooling: bool = True,
     ) -> None:
-        if not 0.0 <= drop_prob < 1.0:
-            raise ValueError("drop_prob must be in [0, 1)")
-        if not 0.0 <= dup_prob < 1.0:
-            raise ValueError("dup_prob must be in [0, 1)")
+        self.drop_prob = drop_prob
+        self.dup_prob = dup_prob
         self.sim = sim
         self.latency = latency or ConstantLatency()
-        self._drop_prob = drop_prob
-        self._dup_prob = dup_prob
         self.stats = NetworkStats()
         self._handlers: dict[str, Handler] = {}
         self._down: set[str] = set()
@@ -91,97 +78,6 @@ class SimNetwork:
         # when tracing is off, so every accounting site below costs one
         # attribute load plus a falsy branch.
         self._tracer = sim.tracer
-        # Per-message constant-cost attacks, togglable for A/B determinism
-        # guards (tests/test_sim_pooling.py).  ``pooling`` covers the
-        # whole complex: direct-dispatch delivery entries (the run loop
-        # calls the destination handler with no network frame in
-        # between), recycling of those entries through the simulator's
-        # message pool, and the cached constant latency (skipping the
-        # sample() call for models that draw no randomness).  All of it
-        # is result-invisible: same sequence numbers, same RNG draws,
-        # same delivery times, same handler calls — and any mutation
-        # that could make a delivery-time check non-vacuous de-optimizes
-        # the in-flight entries (see _deopt_in_flight).
-        self._pooling = pooling
-        self._const_delay = (
-            self.latency.latency if type(self.latency) is ConstantLatency else None
-        )
-        # Identity-stable hot references, bound once so the fast send
-        # path pays one attribute hop instead of two (the handler dict,
-        # event queue, and message pool are never replaced, only
-        # mutated in place).
-        self._handlers_get = self._handlers.get
-        self._equeue = sim._queue
-        self._pool = sim._msg_pool
-        self._fault_free = True
-        self._fast = False
-        self._refresh_fast_path()
-
-    # ------------------------------------------------------------------
-    # Fault-free fast path bookkeeping
-    # ------------------------------------------------------------------
-    # ``send`` skips all send-time fault checks when no fault feature is
-    # active — the overwhelmingly common case in scalability runs.  The
-    # flag is recomputed on every fault-state mutation, never per send.
-    # Delivery re-reads the *current* flag, so a fault injected while a
-    # message is in flight still applies (e.g. the destination crashes
-    # before delivery): only when no fault exists at delivery time are
-    # the vacuous per-message checks elided.  The fast path consumes
-    # exactly the same RNG stream as the slow path with faults disabled
-    # (only the latency sample), so seeded runs are bit-identical either
-    # way.
-    def _refresh_fast_path(self) -> None:
-        self._fault_free = not (
-            self._drop_prob
-            or self._dup_prob
-            or self._down
-            or self._blocked_pairs
-            or self._slowdowns
-        )
-        # Direct dispatch additionally requires pooling and no tracer:
-        # a traced run wants per-delivery metrics, which only the
-        # _deliver frame produces.
-        fast = self._fault_free and self._pooling and self._tracer is None
-        if self._fast and not fast:
-            self._deopt_in_flight()
-        self._fast = fast
-
-    def _fault_appeared(self) -> None:
-        """A fault feature just became active: leave the fast paths.
-
-        Split from :meth:`_refresh_fast_path` so the O(n^2) ``block``
-        storm of :meth:`partition` pays one heap scan, not one per pair.
-        """
-        self._fault_free = False
-        if self._fast:
-            self._deopt_in_flight()
-            self._fast = False
-
-    def _deopt_in_flight(self) -> None:
-        """Rewrite in-flight direct-dispatch entries into checked deliveries.
-
-        A direct entry bakes in the handler looked up at send time and
-        skips every delivery-time check — valid only while nothing can
-        change between send and delivery.  The moment a fault feature
-        activates or the handler registry changes, each such entry is
-        rewritten *in place* into a classic ``_deliver`` entry (same
-        time, same sequence number, so heap order is untouched) whose
-        checks run with delivery-time state.  Entries belonging to other
-        networks on the same simulator are rewritten too — harmless, as
-        ``_deliver`` is re-resolved per entry through its owning network.
-
-        The scan is O(heap), but every call site is off the per-message
-        path: the first fault mutation after a fast-path stretch (later
-        mutations are guarded by ``_fast`` being already off) or a
-        handler-registry change (``Node.leave`` / handler replacement —
-        churn-rate events).
-        """
-        for entry in self.sim._queue._heap:
-            if len(entry) == 7:
-                args = entry[3]
-                entry[3] = (args[0], entry[5], args[1])
-                entry[2] = entry[6]._deliver
-                del entry[4:]
 
     @property
     def drop_prob(self) -> float:
@@ -192,7 +88,6 @@ class SimNetwork:
         if not 0.0 <= value < 1.0:
             raise ValueError("drop_prob must be in [0, 1)")
         self._drop_prob = value
-        self._refresh_fast_path()
 
     @property
     def dup_prob(self) -> float:
@@ -203,39 +98,25 @@ class SimNetwork:
         if not 0.0 <= value < 1.0:
             raise ValueError("dup_prob must be in [0, 1)")
         self._dup_prob = value
-        self._refresh_fast_path()
 
     # ------------------------------------------------------------------
     # Endpoint lifecycle
     # ------------------------------------------------------------------
     def register(self, address: str, handler: Handler) -> None:
         """Attach ``handler`` to ``address`` and mark it up."""
-        if address in self._handlers:
-            # Replacing a live handler: in-flight direct-dispatch
-            # entries hold the old one; force them back through
-            # _deliver, which re-resolves at delivery time.
-            self._deopt_in_flight()
         self._handlers[address] = handler
         self._down.discard(address)
-        self._refresh_fast_path()
 
     def unregister(self, address: str) -> None:
-        if address in self._handlers:
-            # Messages to the departed endpoint must count as to_dead at
-            # delivery, not invoke the captured handler.
-            self._deopt_in_flight()
         self._handlers.pop(address, None)
         self._down.discard(address)
-        self._refresh_fast_path()
 
     def set_down(self, address: str) -> None:
         """Crash an endpoint: it neither sends nor receives until set_up."""
         self._down.add(address)
-        self._fault_appeared()
 
     def set_up(self, address: str) -> None:
         self._down.discard(address)
-        self._refresh_fast_path()
 
     def is_up(self, address: str) -> bool:
         return address in self._handlers and address not in self._down
@@ -250,12 +131,10 @@ class SimNetwork:
         """Drop all traffic between ``a`` and ``b`` (both directions)."""
         self._blocked_pairs.add((a, b))
         self._blocked_pairs.add((b, a))
-        self._fault_appeared()
 
     def unblock(self, a: str, b: str) -> None:
         self._blocked_pairs.discard((a, b))
         self._blocked_pairs.discard((b, a))
-        self._refresh_fast_path()
 
     def block_one_way(self, src: str, dst: str) -> None:
         """Drop traffic from ``src`` to ``dst`` only (asymmetric partition).
@@ -265,11 +144,9 @@ class SimNetwork:
         "can send but not receive" leader scenario.
         """
         self._blocked_pairs.add((src, dst))
-        self._fault_appeared()
 
     def unblock_one_way(self, src: str, dst: str) -> None:
         self._blocked_pairs.discard((src, dst))
-        self._refresh_fast_path()
 
     def isolate_inbound(self, victim: str, peers: list[str] | None = None) -> None:
         """Block all traffic *to* ``victim``: it can send but not receive."""
@@ -292,7 +169,6 @@ class SimNetwork:
     def heal(self) -> None:
         """Remove all partitions (one-way blocks included)."""
         self._blocked_pairs.clear()
-        self._refresh_fast_path()
 
     def is_blocked(self, src: str, dst: str) -> bool:
         return (src, dst) in self._blocked_pairs
@@ -313,7 +189,6 @@ class SimNetwork:
             self._slowdowns.pop((src, dst), None)
         else:
             self._slowdowns[(src, dst)] = factor
-        self._refresh_fast_path()
 
     def set_node_slowdown(self, victim: str, factor: float, peers: list[str] | None = None) -> None:
         """Degrade every link touching ``victim`` (both directions)."""
@@ -324,7 +199,6 @@ class SimNetwork:
 
     def clear_slowdowns(self) -> None:
         self._slowdowns.clear()
-        self._refresh_fast_path()
 
     def link_slowdown(self, src: str, dst: str) -> float:
         return self._slowdowns.get((src, dst), 1.0)
@@ -338,94 +212,23 @@ class SimNetwork:
         Loss, source death, and partitions are decided at send time;
         destination death is decided at delivery time (so a message can be
         lost when the destination crashes in flight — the realistic case).
-
-        When no fault feature is active (no drops, dups, downed nodes,
-        blocks, or slowdowns) a fast path skips every send-time check and
-        schedules delivery fire-and-forget.  Both paths sample the same
-        latency from the same RNG stream, so results are seed-identical.
+        Random draws for loss and duplication happen only when their
+        probability is non-zero, so a fault-free run consumes exactly one
+        latency sample per message.
         """
         stats = self.stats
         stats.sent += 1
         if stats.count_types:
             name = type(msg).__name__
             stats.by_type[name] = stats.by_type.get(name, 0) + 1
-        if self._fast:
-            # Direct-dispatch path (pooling on, no faults, no tracer):
-            # resolve the destination handler *now* and schedule it as
-            # the event function itself, so delivery runs the handler
-            # straight from the run loop with no _deliver frame in
-            # between.  Entries are 7-slot lists (see sim/loop.py) that
-            # the run loop recycles through ``sim._msg_pool`` — zero
-            # allocations per message in steady state.  Anything that
-            # could invalidate the baked-in handler or skipped checks
-            # de-optimizes in-flight entries (_deopt_in_flight).
-            handler = self._handlers_get(dst)
-            if handler is not None:
-                sim = self.sim
-                queue = self._equeue
-                delay = self._const_delay
-                if delay is None:
-                    delay = self.latency.sample(src, dst, self._rng)
-                seq = queue._seq
-                pool = self._pool
-                if pool:
-                    entry = pool.pop()
-                    args = entry[3]
-                    args[0] = src
-                    args[1] = msg
-                    entry[0] = sim._now + delay
-                    entry[1] = seq
-                    entry[2] = handler
-                    entry[5] = dst
-                    if entry[6] is not self:
-                        # Recycled from another network on this
-                        # simulator (rare): retarget the bookkeeping
-                        # slots.  Same-net reuse skips both stores.
-                        entry[4] = stats
-                        entry[6] = self
-                    heappush(queue._heap, entry)
-                else:
-                    heappush(
-                        queue._heap,
-                        [sim._now + delay, seq, handler,
-                         [src, msg], stats, dst, self],
-                    )
-                queue._seq = seq + 1
-                queue._live += 1
-                return
-            # No handler at send time: fall through to a checked
-            # delivery so the to_dead accounting happens at delivery
-            # time, exactly like the historical path (the destination
-            # may also register while the message is in flight).
         tracer = self._tracer
         if tracer is not None:
             tracer.note_send(msg)
-        if self._fault_free:
-            # Inlined sim.schedule_fire: one heap entry, no handle, no
-            # intermediate frames — this line runs once per message.
-            sim = self.sim
-            queue = sim._queue
-            delay = self._const_delay if self._pooling else None
-            if delay is None:
-                delay = self.latency.sample(src, dst, self._rng)
-            heappush(
-                queue._heap,
-                [sim._now + delay, queue._seq, self._deliver, (src, dst, msg)],
-            )
-            queue._seq += 1
-            queue._live += 1
-            return
-        if src in self._down:
-            stats.dropped += 1
-            if tracer is not None:
-                tracer.metrics.inc("net.dropped")
-            return
-        if (src, dst) in self._blocked_pairs:
-            stats.dropped += 1
-            if tracer is not None:
-                tracer.metrics.inc("net.dropped")
-            return
-        if self._drop_prob > 0 and self._rng.random() < self._drop_prob:
+        if (
+            src in self._down
+            or (src, dst) in self._blocked_pairs
+            or (self._drop_prob > 0 and self._rng.random() < self._drop_prob)
+        ):
             stats.dropped += 1
             if tracer is not None:
                 tracer.metrics.inc("net.dropped")
@@ -447,26 +250,6 @@ class SimNetwork:
         self.sim.schedule_fire(delay, self._deliver, src, dst, msg)
 
     def _deliver(self, src: str, dst: str, msg: Any) -> None:
-        if self._fault_free and self._pooling:
-            # With no fault feature active *at delivery time* the
-            # down/blocked checks are vacuous (both sets are empty —
-            # ``_fault_free`` is recomputed on every fault mutation, so
-            # a fault injected while this message was in flight forces
-            # the full checks below).  Reached for traced runs, for
-            # sends whose destination had no handler, and for de-opted
-            # direct entries whose faults have since healed.
-            handler = self._handlers.get(dst)
-            tracer = self._tracer
-            if handler is None:
-                self.stats.to_dead += 1
-                if tracer is not None:
-                    tracer.metrics.inc("net.to_dead")
-                return
-            self.stats.delivered += 1
-            if tracer is not None:
-                tracer.metrics.inc("net.delivered")
-            handler(src, msg)
-            return
         handler = self._handlers.get(dst)
         tracer = self._tracer
         if handler is None or dst in self._down:

@@ -52,9 +52,9 @@ class StorageConfig:
     """Knobs of the simulated durable-storage model."""
 
     # Time from a WAL append to its covering fsync completing (and the
-    # ack being sent).  Plays the role PaxosConfig.disk_write_latency
-    # played for the fictional durability model; kept small but nonzero
-    # so a lost-suffix window actually exists between append and fsync.
+    # ack being sent): the durable-write cost on the commit path.  Kept
+    # small but nonzero so a lost-suffix window actually exists between
+    # append and fsync.
     fsync_latency: float = 0.002
     # Group commit.  0 (the default) keeps the historical model: every
     # ack schedules its own fsync timer.  A positive window makes the

@@ -20,7 +20,6 @@ BENCH_NAMES = {
     "event_throughput_handles",
     "net_send_deliver",
     "net_send_deliver_faulty",
-    "pooled_send_deliver",
     "ring_lookup_10k",
     "e2e_scatter_ops",
     "write_path_saturation",
@@ -48,10 +47,8 @@ class TestMicrobenchmarks:
         assert e2e["ops_per_s"] > 0
 
     def test_scaleout_benches_record_ab_ratios(self, quick_report):
-        """The scale-out benches time both sides of their A/B in one run."""
+        """The ring-lookup bench times both sides of its A/B in one run."""
         by_name = {b["name"]: b for b in quick_report["benchmarks"]}
-        assert by_name["pooled_send_deliver"]["speedup_vs_unpooled"] > 1.0
-        assert by_name["pooled_send_deliver"]["unpooled_msgs_per_s"] > 0
         assert by_name["ring_lookup_10k"]["speedup_vs_linear"] > 1.5
         assert by_name["ring_lookup_10k"]["groups"] > 0
 

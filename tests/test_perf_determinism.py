@@ -1,9 +1,8 @@
 """Determinism guards for the simulator hot-path optimizations.
 
-The fast-path send, fire-and-forget scheduling, and inlined run loops
-must be *invisible* to seeded runs: same (configuration, seed) must
-produce byte-identical rows and histories, and enabling/disabling the
-network fast path must not shift the RNG stream by a single draw.
+Fire-and-forget scheduling and the inlined run loops must be
+*invisible* to seeded runs: same (configuration, seed) must produce
+byte-identical rows and histories.
 """
 
 from repro.harness.builders import DeploymentParams, build_scatter_deployment
@@ -26,18 +25,10 @@ class TestE06Determinism:
         assert result.column("sim_events")[-1] > 0
 
 
-def deployment_fingerprint(seed: int, force_slow_path: bool):
-    """(events, client history) for a short run, optionally forcing the
-    network's slow send path via a block between addresses that never
-    exchange traffic — every fault check still evaluates false, so the
-    two paths must consume identical RNG streams."""
+def deployment_fingerprint(seed: int):
+    """(events, sends, client history) for a short fault-free run."""
     params = DeploymentParams(n_nodes=15, n_groups=5, n_clients=3, seed=seed)
     deployment = build_scatter_deployment(params)
-    if force_slow_path:
-        deployment.net.block_one_way("__nobody__", "__never__")
-        assert not deployment.net._fault_free
-    else:
-        assert deployment.net._fault_free
     sim = deployment.sim
     workload = ClosedLoopWorkload(
         sim, deployment.clients, UniformKeys(40), read_fraction=0.5
@@ -54,15 +45,10 @@ def deployment_fingerprint(seed: int, force_slow_path: bool):
 
 
 class TestFastPathDeterminism:
-    """Fast-path send vs slow-path send: same seed => same RNG stream."""
-
-    def test_fast_and_slow_send_paths_are_equivalent(self):
-        fast = deployment_fingerprint(11, force_slow_path=False)
-        slow = deployment_fingerprint(11, force_slow_path=True)
-        assert fast == slow
+    """Same seed => same run; different seed => different run."""
 
     def test_fingerprint_reproduces(self):
-        assert deployment_fingerprint(12, False) == deployment_fingerprint(12, False)
+        assert deployment_fingerprint(12) == deployment_fingerprint(12)
 
     def test_different_seeds_differ(self):
-        assert deployment_fingerprint(11, False) != deployment_fingerprint(13, False)
+        assert deployment_fingerprint(11) != deployment_fingerprint(13)

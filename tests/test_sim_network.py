@@ -136,6 +136,13 @@ class TestSimNetwork:
         with pytest.raises(ValueError):
             SimNetwork(sim, drop_prob=1.0)
 
+    def test_drop_prob_setter_validates(self):
+        _sim, net = self._net()
+        with pytest.raises(ValueError):
+            net.drop_prob = 1.5
+        with pytest.raises(ValueError):
+            net.dup_prob = -0.1
+
     def test_partition_blocks_both_directions(self):
         sim, net = self._net()
         got = []
@@ -210,82 +217,54 @@ class TestSimNetwork:
         assert net.addresses() == ["a", "z"]
 
 
-class TestFaultFreeFastPath:
-    """The fault-free send fast path must be invisible except for speed."""
+class TestInFlightFaults:
+    """Faults injected between send and delivery apply at delivery time."""
 
-    def _net(self, **kwargs):
-        sim = Simulator(seed=1)
-        net = SimNetwork(sim, **kwargs)
-        return sim, net
+    def _net(self):
+        sim = Simulator(seed=3)
+        net = SimNetwork(sim, latency=ConstantLatency(0.01))
+        got: list = []
+        net.register("dst", lambda src, msg: got.append(("orig", msg)))
+        return sim, net, got
 
-    def test_fast_path_active_only_when_fault_free(self):
-        sim, net = self._net()
-        assert net._fault_free
-        net.block("a", "b")
-        assert not net._fault_free
-        net.unblock("a", "b")
-        assert net._fault_free
-        net.set_down("a")
-        assert not net._fault_free
-        net.set_up("a")
-        assert net._fault_free
-        net.set_link_slowdown("a", "b", 3.0)
-        assert not net._fault_free
-        net.clear_slowdowns()
-        assert net._fault_free
-        net.drop_prob = 0.1
-        assert not net._fault_free
-        net.drop_prob = 0.0
-        assert net._fault_free
-        net.dup_prob = 0.1
-        assert not net._fault_free
-        net.dup_prob = 0.0
-        assert net._fault_free
-
-    def test_drop_prob_setter_validates(self):
-        _sim, net = self._net()
-        with pytest.raises(ValueError):
-            net.drop_prob = 1.5
-        with pytest.raises(ValueError):
-            net.dup_prob = -0.1
-
-    def test_heal_restores_fast_path(self):
-        sim, net = self._net()
-        net.partition({"a"}, {"b"})
-        assert not net._fault_free
-        net.heal()
-        assert net._fault_free
-
-    def test_fast_and_slow_paths_deliver_identically(self):
-        # Force the slow path with a block between two addresses that
-        # never exchange traffic: every check still evaluates false and
-        # no extra RNG draws happen, so arrival times must be identical
-        # to the fast path run.
-        def run(force_slow):
-            sim = Simulator(seed=7)
-            net = SimNetwork(sim, latency=UniformLatency(0.001, 0.01))
-            if force_slow:
-                net.block_one_way("__nobody__", "__never__")
-            arrivals = []
-            net.register("a", lambda s, m: arrivals.append(("a", m, sim.now)))
-            net.register("b", lambda s, m: arrivals.append(("b", m, sim.now)))
-            for i in range(50):
-                net.send("a", "b", i)
-                net.send("b", "a", i)
-            sim.run()
-            return arrivals, net.stats.sent, net.stats.delivered
-
-        assert run(force_slow=False) == run(force_slow=True)
-
-    def test_fast_path_still_checks_faults_at_delivery(self):
-        # A message sent on the fast path must still be lost if the
-        # destination dies (or a partition forms) while it is in flight.
-        sim, net = self._net(latency=ConstantLatency(0.01))
-        got = []
-        net.register("b", lambda s, m: got.append(m))
-        assert net._fault_free
-        net.send("a", "b", "doomed")
-        sim.schedule(0.005, net.set_down, "b")
+    def test_destination_crash_in_flight_counts_to_dead(self):
+        sim, net, got = self._net()
+        net.send("src", "dst", "m1")
+        net.set_down("dst")
         sim.run()
         assert got == []
         assert net.stats.to_dead == 1
+        assert net.stats.delivered == 0
+
+    def test_unregister_in_flight_counts_to_dead(self):
+        sim, net, got = self._net()
+        net.send("src", "dst", "m1")
+        net.unregister("dst")
+        sim.run()
+        assert got == []
+        assert net.stats.to_dead == 1
+
+    def test_handler_replaced_in_flight_delivers_to_new_handler(self):
+        sim, net, got = self._net()
+        net.send("src", "dst", "m1")
+        net.register("dst", lambda src, msg: got.append(("new", msg)))
+        sim.run()
+        assert got == [("new", "m1")]
+        assert net.stats.delivered == 1
+
+    def test_block_in_flight_drops_at_delivery(self):
+        sim, net, got = self._net()
+        net.send("src", "dst", "m1")
+        net.block("src", "dst")
+        sim.run()
+        assert got == []
+        assert net.stats.dropped == 1
+
+    def test_heal_before_delivery_still_delivers(self):
+        sim, net, got = self._net()
+        net.send("src", "dst", "m1")
+        net.block("src", "dst")
+        net.unblock("src", "dst")  # healed before delivery
+        sim.run()
+        assert got == [("orig", "m1")]
+        assert net.stats.delivered == 1

@@ -26,6 +26,7 @@ from repro.storage.disk import (
     BALLOT_ZERO,
     NodeDisk,
     REC_ACCEPT,
+    REC_CHOSEN,
     REC_PROMISE,
     StorageConfig,
 )
@@ -320,6 +321,43 @@ class TestScatterRecovery:
                             replica.paxos.log.chosen_value(slot)
                             == other.paxos.log.chosen_value(slot)
                         )
+
+    def test_restart_replaying_a_committed_split_recreates_dropped_group(self):
+        # A node keeps its replica of a split group while the group
+        # lingers retired, but may drop its replica of a group the split
+        # created (here: removed from that group's membership).  On
+        # restart, WAL replay of the split's commit creates that group
+        # again while the node is still restarting its other replicas.
+        params = DeploymentParams(n_nodes=9, n_groups=3, n_clients=1, seed=5)
+        deployment = build_scatter_deployment(
+            params, config=experiment_scatter_config(storage=StorageConfig())
+        )
+        sim, system = deployment.sim, deployment.system
+        sim.run_for(2.0)
+        leader = next(n for n in system.nodes.values() if n.groups["g0"].is_leader)
+        split = leader.start_split(leader.groups["g0"])
+        sim.run_for(3.0)
+        assert split.result() == "committed"
+        (child_gid,) = [gid for gid in leader.groups if gid != "g0"]
+        child = leader.groups[child_gid]
+        victim = system.nodes[next(m for m in child.paxos.members if m != leader.node_id)]
+        region = victim.disk.regions["g0"]
+        # An fsync covering the split's commit record lands before the crash.
+        region.mark_synced(region.current_seq())
+        assert any(
+            r.kind == REC_CHOSEN and r.value.kind == "txn_commit" for r in region.records
+        )
+        removal = child.paxos.propose(Command.config("remove", victim.node_id))
+        sim.run_for(3.0)
+        assert removal.exception is None
+        assert child_gid not in victim.groups and "g0" in victim.groups
+        victim.crash()
+        sim.run_for(1.0)
+        victim.restart()
+        assert region.recoveries > 0 and not region.reneged
+        assert child_gid in victim.groups  # recreated by the replayed split
+        sim.run_for(2.0)
+        assert system.audit() == []
 
 
 # ---------------------------------------------------------------------------
