@@ -33,7 +33,9 @@ class Node:
 
     Crash/restart is modelled with :meth:`crash` / :meth:`restart`: a
     crashed node loses all volatile state via the subclass hook
-    :meth:`on_restart` and its timers are cancelled.
+    :meth:`on_restart`.  Each crash starts a new incarnation, and a timer
+    fires only in the incarnation that set it, so no timer survives a
+    crash and the node keeps no per-timer state.
     """
 
     def __init__(self, node_id: str, sim: Simulator, net: SimNetwork) -> None:
@@ -46,7 +48,7 @@ class Node:
         self.disk = None
         self._handlers: dict[type, Callable[[str, Any], Any]] = {}
         self._pending_rpcs: dict[int, Future] = {}
-        self._timers: list[EventHandle] = []
+        self._incarnation = 0
         net.register(node_id, self._on_network_message)
 
     # ------------------------------------------------------------------
@@ -93,26 +95,20 @@ class Node:
     # ------------------------------------------------------------------
     def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule a callback that is suppressed if the node crashes."""
+        return self.sim.schedule(delay, self._fire_timer, self._incarnation, fn, args)
 
-        def guarded(*inner: Any) -> None:
-            if self.alive:
-                fn(*inner)
-
-        handle = self.sim.schedule(delay, guarded, *args)
-        self._timers.append(handle)
-        if len(self._timers) > 256:
-            # Drop cancelled handles and ones already in the past (fired).
-            # Handles at exactly `now` may still be pending this tick, so
-            # they are kept until time advances.
-            now = self.sim.now
-            self._timers = [t for t in self._timers if not t.cancelled and t.time >= now]
-        return handle
+    def _fire_timer(self, incarnation: int, fn: Callable[..., None], args: tuple) -> None:
+        if self.alive and incarnation == self._incarnation:
+            fn(*args)
 
     # ------------------------------------------------------------------
     # Crash / restart
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Fail-stop: drop timers, pending RPCs, and go silent.
+        """Fail-stop: end the incarnation, fail pending RPCs, go silent.
+
+        Ending the incarnation disarms every timer set before the crash:
+        each still fires in virtual time, but as a no-op.
 
         With a disk attached, the crash is a power failure: the disk
         keeps only what reached a completed fsync — the un-fsynced WAL
@@ -121,12 +117,10 @@ class Node:
         if not self.alive:
             return
         self.alive = False
+        self._incarnation += 1
         self.net.set_down(self.node_id)
         if self.disk is not None:
             self.disk.power_failure()
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
         # Fail callers waiting on in-flight RPCs instead of leaving their
         # futures pending forever (the response would be dropped anyway).
         pending = list(self._pending_rpcs.values())

@@ -177,13 +177,19 @@ class ReplicaStorage:
                 tracer.metrics.inc("wal.fsyncs")
                 tracer.metrics.observe("fsync.batch_size", 0)
             return
-        covered = 0
-        for record in self.records:
-            if self.synced_seq < record.seq <= seq:
-                covered += 1
-                if record.kind == REC_PROMISE:
-                    if record.ballot is not None and record.ballot > self.durable_promise:
-                        self.durable_promise = record.ballot
+        # Records are in seq order, so the newly covered ones are a run
+        # just past the synced prefix: find its start from the tail.
+        records = self.records
+        start = len(records)
+        while start and records[start - 1].seq > self.synced_seq:
+            start -= 1
+        end = start
+        while end < len(records) and records[end].seq <= seq:
+            record = records[end]
+            if record.kind == REC_PROMISE and record.ballot > self.durable_promise:
+                self.durable_promise = record.ballot
+            end += 1
+        covered = end - start
         self.synced_seq = seq
         if tracer is not None:
             tracer.metrics.inc("wal.fsyncs")

@@ -96,9 +96,8 @@ class KvStore:
             client, seq = dedup
             session = self._sessions.setdefault(client, {})
             session[seq] = result
-            if len(session) > SESSION_WINDOW:
-                for stale in sorted(session)[: len(session) - SESSION_WINDOW]:
-                    del session[stale]
+            while len(session) > SESSION_WINDOW:
+                del session[min(session)]
         return result
 
     def _execute(self, op: KvOp) -> KvResult:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.store import KvOp, KvStore, OP_CAS, OP_DELETE, OP_GET, OP_PUT
+from repro.store.kvstore import SESSION_WINDOW, RangeState
 
 
 class TestBasicOps:
@@ -94,6 +95,35 @@ class TestDedup:
         r = s.apply(KvOp(OP_PUT, 1, "b"), dedup=("c2", 1))
         assert r.ok
         assert s.get(1).value == "b"
+
+
+class TestSessionWindow:
+    """A full session evicts its smallest seqs: exactly the window's largest stay."""
+
+    def test_out_of_order_applies_keep_the_largest_seqs(self):
+        s = KvStore()
+        seqs = [(i * 37) % 301 + 1 for i in range(301)]  # 1..301, scrambled
+        for i, seq in enumerate(seqs):
+            s.apply(KvOp(OP_PUT, seq, seq), dedup=("c", seq))
+            assert sorted(s._sessions["c"]) == sorted(seqs[: i + 1])[-SESSION_WINDOW:]
+
+    def test_absorb_past_the_window_then_apply_prunes_to_the_largest(self):
+        s = KvStore()
+        for seq in range(100, 0, -1):
+            s.apply(KvOp(OP_PUT, seq, seq), dedup=("c", seq))
+        incoming = {seq: KvOp(OP_GET, seq) for seq in range(150, 350, 2)}
+        s.absorb(RangeState(sessions={"c": dict(incoming)}))
+        assert len(s._sessions["c"]) == 200  # absorb merges, it does not prune
+        s.apply(KvOp(OP_PUT, 0, 0), dedup=("c", 101))
+        union = set(range(1, 102)) | set(incoming)
+        assert sorted(s._sessions["c"]) == sorted(union)[-SESSION_WINDOW:]
+
+    def test_seq_below_a_full_window_is_evicted_at_once(self):
+        s = KvStore()
+        for seq in range(1000, 1000 + SESSION_WINDOW):
+            s.apply(KvOp(OP_PUT, 1, seq), dedup=("c", seq))
+        s.apply(KvOp(OP_PUT, 2, "late"), dedup=("c", 5))
+        assert sorted(s._sessions["c"]) == list(range(1000, 1000 + SESSION_WINDOW))
 
 
 class TestRangeMovement:

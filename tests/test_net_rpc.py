@@ -266,13 +266,46 @@ class TestNodeRpc:
             f.result()
         assert not a._pending_rpcs
 
-    def test_fired_timers_are_pruned(self):
+    def test_timer_set_after_restart_fires(self):
         sim, net, a, b = self._cluster()
-        for i in range(300):
-            a.set_timer(0.001 * (i + 1), lambda: None)
-        sim.run_for(1.0)
-        # All 300 have fired; the next set_timer crosses the prune
-        # threshold and must drop them rather than keep them forever.
-        assert len(a._timers) > 256
-        a.set_timer(1.0, lambda: None)
-        assert len(a._timers) == 1
+        fired = []
+        a.set_timer(1.0, fired.append, "old")
+        a.crash()
+        a.restart()
+        a.set_timer(0.5, fired.append, "new")
+        sim.run()
+        assert fired == ["new"]
+
+    def test_timer_set_while_down_fires_only_if_up_again(self):
+        sim, net, a, b = self._cluster()
+        fired = []
+        a.crash()
+        a.set_timer(1.0, fired.append, "down")
+        a.set_timer(3.0, fired.append, "restarted")
+        sim.run_until(2.0)
+        a.restart()
+        sim.run()
+        assert fired == ["restarted"]
+
+    def test_cancelled_timer_does_not_fire(self):
+        sim, net, a, b = self._cluster()
+        fired = []
+        handle = a.set_timer(1.0, fired.append, "cancelled")
+        a.set_timer(2.0, fired.append, "kept")
+        handle.cancel()
+        assert handle.cancelled
+        sim.run()
+        assert fired == ["kept"]
+
+    def test_node_keeps_no_per_timer_state(self):
+        sim, net, a, b = self._cluster()
+
+        def sizes():
+            return {k: len(v) for k, v in vars(a).items() if hasattr(v, "__len__")}
+
+        before = sizes()
+        for i in range(10_000):
+            a.set_timer(0.001 * (i % 50 + 1), lambda: None)
+        assert sizes() == before
+        sim.run()
+        assert sizes() == before

@@ -11,6 +11,8 @@ builds that never had it (same pattern as tests/test_obs.py).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.consensus.commands import Command
 from repro.consensus.harness import PaxosHost, build_cluster, current_leader
@@ -126,6 +128,67 @@ class TestWal:
         assert st.recoveries == 2
         assert st.replayed_total == 10
         assert st.max_replayed == 5
+
+
+class _BatchSizes:
+    """Tracer stand-in that keeps every ``fsync.batch_size`` observation."""
+
+    def __init__(self) -> None:
+        self.metrics = self
+        self.sizes: list[int] = []
+
+    def inc(self, name, n=1) -> None:
+        pass
+
+    def observe(self, name, value) -> None:
+        if name == "fsync.batch_size":
+            self.sizes.append(value)
+
+
+_WAL_OPS = hst.lists(
+    hst.tuples(
+        hst.sampled_from(["promise", "accept", "chosen", "sync", "snapshot", "power"]),
+        hst.integers(0, 40),
+        hst.integers(1, 6),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_WAL_OPS)
+def test_mark_synced_matches_a_full_wal_scan(ops):
+    """Tail-only sync marking covers exactly what a scan of the whole WAL does.
+
+    Syncs draw ``upto`` anywhere in ``[0, current_seq]``: stale marks,
+    marks that leave later appends unsynced, and marks after snapshot
+    compaction or a power failure punched gaps into the seq sequence.
+    """
+    tracer = _BatchSizes()
+    st = NodeDisk("n0", StorageConfig(), tracer=tracer).storage_for("g")
+    for kind, a, b in ops:
+        ballot = (b, f"n{a % 3}")
+        if kind == "promise":
+            st.append_promise(ballot)
+        elif kind == "accept":
+            st.append_accept(a, ballot, f"v{a}")
+        elif kind == "chosen":
+            st.append_chosen(a, f"v{a}")
+        elif kind == "snapshot":
+            st.save_snapshot({}, a, ("n0",))
+        elif kind == "power":
+            st.power_failure()
+        else:
+            upto = a % (st.current_seq() + 1)
+            newly = [r for r in st.records if st.synced_seq < r.seq <= upto]
+            promises = [r.ballot for r in newly if r.kind == REC_PROMISE]
+            want_promise = max([st.durable_promise, *promises])
+            want_synced = max(st.synced_seq, upto)
+            st.mark_synced(upto)
+            assert tracer.sizes[-1] == len(newly)
+            assert st.synced_seq == want_synced
+            assert st.durable_promise == want_promise
+    assert [r.seq for r in st.records] == sorted(r.seq for r in st.records)
 
 
 # ---------------------------------------------------------------------------
