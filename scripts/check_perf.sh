@@ -3,8 +3,9 @@
 # and compare against the committed BENCH_SIM.json, failing on any
 # benchmark that drops below 0.6x its recorded throughput (the slack
 # absorbs wall-clock noise on shared machines; genuine hot-path
-# regressions are far larger).  The report is rewritten in place so an
-# intentional perf change shows up as a BENCH_SIM.json diff for review.
+# regressions are far larger).  A passing run rewrites the report in
+# place, so an intentional perf change shows up as a BENCH_SIM.json diff
+# for review; a failing run leaves it untouched, so a rerun fails too.
 #
 # Usage: scripts/check_perf.sh [extra `repro perf` flags]
 set -e

@@ -213,22 +213,22 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         if "pre_pr_baseline" in previous:
             attach_baseline(report, previous["pre_pr_baseline"])
     print(render_report(report, comparison))
+    regressed = [
+        c for c in comparison or []
+        if args.fail_below and c["ratio"] is not None and c["ratio"] < args.fail_below
+    ]
+    for c in regressed:
+        print(
+            f"REGRESSION: {c['name']} {c['old']:,.0f} -> {c['new']:,.0f} "
+            f"{c['metric']} ({c['ratio']:.2f}x < {args.fail_below}x)",
+            file=sys.stderr,
+        )
+    if regressed:
+        # Keep the baseline: overwriting it would let a rerun pass.
+        return 1
     if args.json:
         write_bench_file(report, args.json)
         print(f"\nwrote {args.json}")
-    if args.fail_below and comparison:
-        regressed = [
-            c for c in comparison
-            if c["ratio"] is not None and c["ratio"] < args.fail_below
-        ]
-        for c in regressed:
-            print(
-                f"REGRESSION: {c['name']} {c['old']:,.0f} -> {c['new']:,.0f} "
-                f"{c['metric']} ({c['ratio']:.2f}x < {args.fail_below}x)",
-                file=sys.stderr,
-            )
-        if regressed:
-            return 1
     return 0
 
 
@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="runs per benchmark; best is kept")
     p_perf.add_argument("--fail-below", type=float, default=None, metavar="RATIO",
                         help="exit 1 if any benchmark falls below RATIO x the "
-                             "previous report (use ~0.6 to absorb CI noise)")
+                             "previous report, leaving that report unwritten "
+                             "(use ~0.6 to absorb CI noise)")
     p_perf.set_defaults(fn=_cmd_perf)
 
     p_trace = sub.add_parser(

@@ -14,9 +14,7 @@ from typing import Any, Callable
 from repro.consensus.commands import Command
 from repro.consensus.messages import (
     Accept,
-    AcceptBatch,
     Accepted,
-    AcceptedBatch,
     AcceptNack,
     CatchupReply,
     CatchupRequest,
@@ -42,9 +40,7 @@ PAXOS_MESSAGE_TYPES = (
     Promise,
     PrepareNack,
     Accept,
-    AcceptBatch,
     Accepted,
-    AcceptedBatch,
     AcceptNack,
     Heartbeat,
     HeartbeatAck,

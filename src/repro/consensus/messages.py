@@ -35,29 +35,15 @@ class PrepareNack:
 
 @dataclass(frozen=True, slots=True)
 class Accept:
-    """Phase 2a for one slot; piggybacks the leader's commit index."""
+    """Phase 2a for a run of contiguous slots; piggybacks the leader's
+    commit index.
 
-    ballot: Ballot
-    slot: int
-    command: Command
-    commit_index: int
-
-
-@dataclass(frozen=True, slots=True)
-class Accepted:
-    ballot: Ballot
-    slot: int
-
-
-@dataclass(frozen=True, slots=True)
-class AcceptBatch:
-    """Phase 2a for several *contiguous* slots packed into one message.
-
-    Sent when ``PaxosConfig.accept_coalescing`` is on: slot ``start_slot
-    + i`` carries ``commands[i]``.  The receiver journals every covered
-    slot and answers with one :class:`AcceptedBatch` from a single fsync
-    completion, so a pipelined burst costs one network delivery (and one
-    durability barrier) per peer instead of one per slot.
+    Slot ``start_slot + i`` carries ``commands[i]``.  Without accept
+    coalescing every run is one slot long; with it, the slots a leader
+    issues in one event turn share a run, so a pipelined burst costs
+    one delivery per peer.  The receiver journals every covered slot
+    and answers with one :class:`Accepted` from a single durability
+    barrier.
     """
 
     ballot: Ballot
@@ -67,10 +53,10 @@ class AcceptBatch:
 
 
 @dataclass(frozen=True, slots=True)
-class AcceptedBatch:
-    """Phase 2b acks for every slot of an :class:`AcceptBatch` that was
-    journaled durably (slots that failed their WAL append are omitted
-    and covered by the leader's retry tick)."""
+class Accepted:
+    """Phase 2b acks for the slots of an :class:`Accept` that were
+    journaled durably (slots whose WAL append failed are omitted and
+    covered by the leader's retry tick)."""
 
     ballot: Ballot
     slots: tuple[int, ...]

@@ -41,15 +41,13 @@ up to everything the leader had committed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.consensus.commands import CMD_BATCH, CMD_CONFIG, Command, ConfigChange
 from repro.consensus.log import PaxosLog
 from repro.consensus.messages import (
     Accept,
-    AcceptBatch,
     Accepted,
-    AcceptedBatch,
     AcceptNack,
     CatchupReply,
     CatchupRequest,
@@ -111,12 +109,12 @@ class PaxosConfig:
     # while staying out of the way of short unit-test runs.
     compact_threshold: int = 512
     # Batch concurrently proposed app commands into one log slot: fewer
-    # Paxos rounds per operation under bursty load.  batch_window is how
-    # long the leader waits to coalesce (0 batches only same-instant
-    # proposals); batch_max caps commands per slot.
-    batch: bool = False
+    # Paxos rounds per operation under bursty load.  batch_max caps
+    # commands per slot, and a batch of one is no batching; batch_window
+    # is how long the leader waits to fill a larger batch (0 batches
+    # only same-instant proposals).
     batch_window: float = 0.002
-    batch_max: int = 16
+    batch_max: int = 1
     # Pipeline flow control: bound on in-flight unchosen slots at the
     # leader.  Proposals beyond the window wait in the admission queue
     # and are issued as commits drain, so bursty load fills the pipe
@@ -124,10 +122,10 @@ class PaxosConfig:
     # the bounded in-flight window).  0 = unbounded (historical
     # behavior).
     pipeline_depth: int = 0
-    # Pack Accepts for contiguous slots to the same peer into one
-    # AcceptBatch (and the acks into one AcceptedBatch), cutting
-    # per-slot network deliveries on the pipelined hot path.  Off by
-    # default (historical per-slot messages).
+    # Every Accept carries a run of contiguous slots and every Accepted
+    # acks a run.  This decides only whether the slots issued in one
+    # event turn share a run per peer (one delivery instead of one per
+    # slot); without it every run is one slot long.
     accept_coalescing: bool = False
     # Linearizable follower reads (scale-out read path).  The leader
     # piggybacks per-member read grants plus its commit frontier and
@@ -147,6 +145,8 @@ class PaxosConfig:
             raise ValueError("heartbeat_interval must be < lease_duration")
         if self.pipeline_depth < 0:
             raise ValueError("pipeline_depth must be >= 0")
+        if self.batch_max < 1:
+            raise ValueError("batch_max must be >= 1")
 
 
 @dataclass
@@ -249,7 +249,7 @@ class PaxosReplica:
         self._batch_flush_timer: Any = None
 
         # Accept-coalescing outbox (leader only): slots issued since the
-        # last flush, packed into contiguous-run AcceptBatches.
+        # last flush, packed into one Accept per contiguous run.
         self._accept_outbox: list[int] = []
         self._accept_flush_pending = False
 
@@ -308,41 +308,28 @@ class PaxosReplica:
         self.storage.append_chosen(slot, value)
 
     def _persist_promise(self, ballot: Ballot) -> bool:
-        """Journal a promise before acking it.  A demo bug patches this
-        to skip the append — the acked-but-not-durable bug the
-        ``acceptor-durability`` invariant exists to catch."""
-        return self.storage.append_promise(ballot)
-
-    def _fsync_then_send(
-        self, dst: str, msg: Any, kind: str, ballot: Ballot, slot: int, label: str
-    ) -> None:
-        """Ack only once the fsync covering the journaled record completes.
-
-        The timer is crash-guarded, so a crash inside the window means
-        no ack was sent — consistent with the un-fsynced record being
-        lost to the power failure.
-        """
+        """Journal a promise before acking it (always succeeds without a
+        storage region).  A demo bug patches this to skip the append —
+        the acked-but-not-durable bug the ``acceptor-durability``
+        invariant exists to catch."""
         storage = self.storage
-
-        def on_durable() -> None:
-            if kind == REC_PROMISE:
-                storage.note_acked_promise(ballot)
-            else:
-                storage.note_acked_accept(slot, ballot, label)
-            self.transport.send(dst, msg)
-
-        self._after_fsync(on_durable)
+        return storage is None or storage.append_promise(ballot)
 
     def _after_fsync(self, on_durable: Callable[[], None]) -> None:
         """Run ``on_durable`` once an fsync covering the WAL tail completes.
 
-        With ``fsync_coalesce`` off this is the historical path: a
-        private timer per ack.  With it on, the ack joins the node
-        disk's group-commit batch and fires from its single completion
-        callback; either way the timer is crash-guarded, so a power
-        failure withholds every ack whose record the crash threw away.
+        Without a storage region the barrier is already met and
+        ``on_durable`` runs inline.  With ``fsync_coalesce`` off each
+        ack waits on a private fsync timer; with it on, the ack joins
+        the node disk's group-commit batch and fires from its single
+        completion callback.  Either way the timer is crash-guarded, so
+        a power failure withholds every ack whose record the crash
+        threw away.
         """
         storage = self.storage
+        if storage is None:
+            on_durable()
+            return
         upto = storage.current_seq()
         disk = storage.disk
         if disk.config.fsync_coalesce > 0:
@@ -461,7 +448,7 @@ class PaxosReplica:
         had committed when contact was re-established.
         """
         kind = type(msg)
-        if kind in (Heartbeat, Accept, AcceptBatch):
+        if kind in (Heartbeat, Accept):
             self._note_ballot(msg.ballot)
             if src != self.replica_id:
                 self.leader_hint = src
@@ -571,7 +558,7 @@ class PaxosReplica:
         if self.retired or not self.is_leader:
             future.set_exception(NotLeader(self.leader_hint))
             return future
-        if self.config.batch and command.kind == "app":
+        if command.kind == "app":
             self._batch_buffer.append((command, future))
             if len(self._batch_buffer) >= self.config.batch_max:
                 self._flush_batch()
@@ -871,12 +858,16 @@ class PaxosReplica:
             accepted=accepted,
             commit_index=self.log.commit_index,
         )
-        if self.storage is not None:
-            if not self._persist_promise(msg.ballot):
-                return  # disk IO error: cannot promise durably, stay silent
-            self._fsync_then_send(src, reply, REC_PROMISE, msg.ballot, -1, "")
-            return
-        self.transport.send(src, reply)
+        if not self._persist_promise(msg.ballot):
+            return  # disk IO error: cannot promise durably, stay silent
+        storage = self.storage
+
+        def on_durable() -> None:
+            if storage is not None:
+                storage.note_acked_promise(msg.ballot)
+            self.transport.send(src, reply)
+
+        self._after_fsync(on_durable)
 
     def _on_promise(self, src: str, msg: Promise) -> None:
         if not self._campaigning or msg.ballot != self.ballot:
@@ -1011,15 +1002,13 @@ class PaxosReplica:
         if self.config.accept_coalescing:
             # Defer the broadcast to the end of this event turn so every
             # slot issued in it (a drained queue, a flushed batch burst)
-            # packs into contiguous-run AcceptBatches per peer.
+            # packs into one Accept per contiguous run.
             self._accept_outbox.append(slot)
             if not self._accept_flush_pending:
                 self._accept_flush_pending = True
                 self.transport.set_timer(0.0, self._flush_accept_outbox)
             return
-        msg = Accept(
-            ballot=self.ballot, slot=slot, command=command, commit_index=self.log.commit_index
-        )
+        msg = self._pack_run(slot, (command,))
         for member in self.members:
             self.transport.send(member, msg)
 
@@ -1033,109 +1022,64 @@ class PaxosReplica:
             for slot in set(outbox)
             if slot in self._pending
         )
-        for run in _contiguous_runs(live):
-            msg = self._pack_run(run)
+        for start, commands in _contiguous_runs(live):
+            msg = self._pack_run(start, commands)
             for member in self.members:
                 self.transport.send(member, msg)
 
-    def _pack_run(self, run: list[tuple[int, Command]]) -> Any:
-        """One wire message for a run of contiguous (slot, command) pairs."""
-        if len(run) == 1:
-            slot, command = run[0]
-            return Accept(
-                ballot=self.ballot,
-                slot=slot,
-                command=command,
-                commit_index=self.log.commit_index,
-            )
-        return AcceptBatch(
+    def _pack_run(self, start_slot: int, commands: Sequence[Command]) -> Accept:
+        """One Accept for the contiguous slots from ``start_slot`` on."""
+        return Accept(
             ballot=self.ballot,
-            start_slot=run[0][0],
-            commands=tuple(command for _slot, command in run),
+            start_slot=start_slot,
+            commands=tuple(commands),
             commit_index=self.log.commit_index,
         )
 
     def _on_accept(self, src: str, msg: Accept) -> None:
-        self._note_ballot(msg.ballot)
-        if msg.ballot < self.promised:
-            self.transport.send(src, AcceptNack(msg.ballot, msg.slot, self.promised))
+        """Journal every slot of an Accept run, then ack the run with one
+        Accepted from a single durability barrier."""
+        ballot = msg.ballot
+        self._note_ballot(ballot)
+        if ballot < self.promised:
+            self.transport.send(src, AcceptNack(ballot, msg.start_slot, self.promised))
             return
-        if msg.ballot > self.promised or src != self.replica_id:
-            self._observe_other_leader(src, msg.ballot)
-        self.promised = msg.ballot
-        if msg.slot < self.log.first_slot:
-            # Late retransmission for a slot we already compacted: it is
-            # chosen and applied here, so just acknowledge.
-            self.transport.send(src, Accepted(msg.ballot, msg.slot))
-            self._learn_commit_index(src, msg.ballot, msg.commit_index)
-            return
-        entry = self.log.entry(msg.slot)
-        if not entry.chosen:
-            entry.accepted_ballot = msg.ballot
-            entry.accepted_value = msg.command
-        if self.storage is not None:
-            if self.storage.append_accept(msg.slot, msg.ballot, msg.command):
-                self._fsync_then_send(
-                    src,
-                    Accepted(msg.ballot, msg.slot),
-                    REC_ACCEPT,
-                    msg.ballot,
-                    msg.slot,
-                    command_label(msg.command),
-                )
-            # On append failure (IO error) no ack: the leader retries.
-        else:
-            self.transport.send(src, Accepted(msg.ballot, msg.slot))
-        self._learn_commit_index(src, msg.ballot, msg.commit_index)
-
-    def _on_accept_batch(self, src: str, msg: AcceptBatch) -> None:
-        """Unpack a coalesced Accept run: journal every covered slot, then
-        answer with one AcceptedBatch from a single durability barrier."""
-        self._note_ballot(msg.ballot)
-        if msg.ballot < self.promised:
-            self.transport.send(
-                src, AcceptNack(msg.ballot, msg.start_slot, self.promised)
-            )
-            return
-        if msg.ballot > self.promised or src != self.replica_id:
-            self._observe_other_leader(src, msg.ballot)
-        self.promised = msg.ballot
-        compacted: list[int] = []
-        journaled: list[tuple[int, str]] = []
-        for offset, command in enumerate(msg.commands):
-            slot = msg.start_slot + offset
-            if slot < self.log.first_slot:
-                compacted.append(slot)  # already chosen and applied here
+        if ballot > self.promised or src != self.replica_id:
+            self._observe_other_leader(src, ballot)
+        self.promised = ballot
+        log = self.log
+        storage = self.storage
+        acked: list[int] = []
+        journaled = 0  # the acked slots' suffix that awaits the fsync
+        for slot, command in enumerate(msg.commands, msg.start_slot):
+            if slot < log.first_slot:
+                acked.append(slot)  # compacted: already chosen and applied here
                 continue
-            entry = self.log.entry(slot)
+            entry = log.entry(slot)
             if not entry.chosen:
-                entry.accepted_ballot = msg.ballot
+                entry.accepted_ballot = ballot
                 entry.accepted_value = command
-            if self.storage is not None:
-                if self.storage.append_accept(slot, msg.ballot, command):
-                    journaled.append((slot, command_label(command)))
-                # On append failure (IO error) the slot is omitted from the
-                # ack; the leader's retry tick covers it.
-            else:
-                journaled.append((slot, command_label(command)))
-        if journaled:
-            acked = tuple(compacted) + tuple(slot for slot, _label in journaled)
-            reply = AcceptedBatch(ballot=msg.ballot, slots=acked)
-            if self.storage is not None:
-                storage = self.storage
-                ballot = msg.ballot
+            if storage is None or storage.append_accept(slot, ballot, command):
+                acked.append(slot)
+                journaled += 1
+            # On append failure (IO error) the slot is omitted from the
+            # ack; the leader's retry tick covers it.
+        if acked:
+            reply = Accepted(ballot, tuple(acked))
 
-                def on_durable() -> None:
-                    for slot, label in journaled:
+            def on_durable() -> None:
+                if storage is not None:
+                    start, commands = msg.start_slot, msg.commands
+                    for slot in acked[len(acked) - journaled :]:
+                        label = command_label(commands[slot - start])
                         storage.note_acked_accept(slot, ballot, label)
-                    self.transport.send(src, reply)
+                self.transport.send(src, reply)
 
+            if journaled:
                 self._after_fsync(on_durable)
             else:
-                self.transport.send(src, reply)
-        elif compacted:
-            self.transport.send(src, AcceptedBatch(msg.ballot, tuple(compacted)))
-        self._learn_commit_index(src, msg.ballot, msg.commit_index)
+                on_durable()  # compacted slots only: nothing new to sync
+        self._learn_commit_index(src, ballot, msg.commit_index)
 
     def _observe_other_leader(self, src: str, ballot: Ballot) -> None:
         """A higher-or-equal ballot from another node means we follow it."""
@@ -1151,16 +1095,10 @@ class PaxosReplica:
         if not self.is_leader or msg.ballot != self.ballot:
             return
         self.member_last_ack[src] = self.transport.now
-        self._slot_accepted(src, msg.slot)
-
-    def _on_accepted_batch(self, src: str, msg: AcceptedBatch) -> None:
-        if not self.is_leader or msg.ballot != self.ballot:
-            return
-        self.member_last_ack[src] = self.transport.now
         for slot in msg.slots:
             self._slot_accepted(src, slot)
             if not self.is_leader:
-                return  # a config change in the batch may have removed us
+                return  # a config change in the run may have removed us
 
     def _slot_accepted(self, src: str, slot: int) -> None:
         pending = self._pending.get(slot)
@@ -1414,16 +1352,11 @@ class PaxosReplica:
                             (slot, pending.command)
                         )
             for member, need in per_member.items():
-                for run in _contiguous_runs(need):
-                    self.transport.send(member, self._pack_run(run))
+                for start, commands in _contiguous_runs(need):
+                    self.transport.send(member, self._pack_run(start, commands))
         else:
             for slot, pending in sorted(self._pending.items()):
-                msg = Accept(
-                    ballot=self.ballot,
-                    slot=slot,
-                    command=pending.command,
-                    commit_index=self.log.commit_index,
-                )
+                msg = self._pack_run(slot, (pending.command,))
                 for member in self.members:
                     if member not in pending.acks:
                         self.transport.send(member, msg)
@@ -1572,14 +1505,14 @@ class PaxosReplica:
     _HANDLERS: dict[type, Callable[["PaxosReplica", str, Any], None]] = {}
 
 
-def _contiguous_runs(pairs: list[tuple[int, Command]]) -> list[list[tuple[int, Command]]]:
-    """Split sorted (slot, command) pairs into runs of consecutive slots."""
-    runs: list[list[tuple[int, Command]]] = []
+def _contiguous_runs(pairs: list[tuple[int, Command]]) -> list[tuple[int, list[Command]]]:
+    """Split sorted (slot, command) pairs into (start_slot, commands) runs."""
+    runs: list[tuple[int, list[Command]]] = []
     for slot, command in pairs:
-        if runs and slot == runs[-1][-1][0] + 1:
-            runs[-1].append((slot, command))
+        if runs and slot == runs[-1][0] + len(runs[-1][1]):
+            runs[-1][1].append(command)
         else:
-            runs.append([(slot, command)])
+            runs.append((slot, [command]))
     return runs
 
 
@@ -1589,8 +1522,6 @@ PaxosReplica._HANDLERS = {
     PrepareNack: PaxosReplica._on_prepare_nack,
     Accept: PaxosReplica._on_accept,
     Accepted: PaxosReplica._on_accepted,
-    AcceptBatch: PaxosReplica._on_accept_batch,
-    AcceptedBatch: PaxosReplica._on_accepted_batch,
     AcceptNack: PaxosReplica._on_accept_nack,
     Heartbeat: PaxosReplica._on_heartbeat,
     HeartbeatAck: PaxosReplica._on_heartbeat_ack,

@@ -62,8 +62,10 @@ class RingTable:
         Wraps: a key below every arc start belongs to the last arc (the
         one wrapping through zero).  Returns None for an empty table.
         ``lookup(k).range.contains(k)`` holds whenever the entries tile
-        the ring; callers that must tolerate gaps check containment and
-        fall back (see ``ScatterClient._best_info``).
+        the ring.  Across a gap the pick is the arc starting closest
+        behind the key, which need not contain it; no containment check
+        follows (``ScatterClient._best_info`` routes to the pick as is,
+        and the contacted node redirects).
         """
         if not self._los:
             return None

@@ -958,9 +958,8 @@ def run_e15(quick: bool = True, seed: int = 15) -> ExperimentResult:
             lease_duration=0.5,
             retry_interval=0.4,
             compact_threshold=400,
-            batch=batch,
             batch_window=0.003,
-            batch_max=16,
+            batch_max=16 if batch else 1,
         )
         params = DeploymentParams(n_nodes=9, n_groups=3, n_clients=n_clients, seed=seed)
         deployment = build_scatter_deployment(
@@ -1343,7 +1342,8 @@ def run_e19(quick: bool = True, seed: int = 19) -> ExperimentResult:
         ),
     )
     # (batch_max, pipeline_depth, accept_coalescing, fsync_coalesce ms).
-    # batch 0 = batching off; pipe 0 = unbounded in-flight slots.
+    # batch 0 = batching off (batch_max=1); pipe 0 = unbounded in-flight
+    # slots.
     cells = [
         (0, 0, False, 0.0),   # defaults: the seed write path
         (16, 0, False, 0.0),  # slot batching only
@@ -1367,9 +1367,8 @@ def run_e19(quick: bool = True, seed: int = 19) -> ExperimentResult:
             lease_duration=0.5,
             retry_interval=0.4,
             compact_threshold=400,
-            batch=batch_max > 0,
             batch_window=0.003,
-            batch_max=batch_max or 16,
+            batch_max=batch_max or 1,
             pipeline_depth=pipe,
             accept_coalescing=coalesce,
         )

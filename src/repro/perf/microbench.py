@@ -244,7 +244,6 @@ def _bench_write_path(n: int) -> Callable[[], int]:
             election_timeout=0.5,
             lease_duration=0.35,
             retry_interval=0.3,
-            batch=True,
             batch_window=0.002,
             batch_max=16,
             pipeline_depth=8,

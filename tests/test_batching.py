@@ -11,7 +11,6 @@ BATCHING = PaxosConfig(
     election_timeout=0.5,
     lease_duration=0.35,
     retry_interval=0.3,
-    batch=True,
     batch_window=0.005,
     batch_max=8,
 )
@@ -89,7 +88,7 @@ class TestBatching:
             heartbeat_interval=0.1,
             election_timeout=0.5,
             lease_duration=0.35,
-            batch=False,
+            batch_max=1,
         )
         sim, net, hosts = make_cluster(config=config)
         before = hosts[0].replica.log.max_slot
@@ -102,7 +101,7 @@ class TestBatching:
         def run(batch):
             config = PaxosConfig(
                 heartbeat_interval=0.1, election_timeout=0.5, lease_duration=0.35,
-                batch=batch, batch_window=0.005, batch_max=16,
+                batch_window=0.005, batch_max=16 if batch else 1,
             )
             sim = Simulator(seed=5)
             net = SimNetwork(sim, latency=ConstantLatency(0.005))

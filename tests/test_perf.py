@@ -138,6 +138,32 @@ class TestPerfCli:
                    "--json", str(path), "--fail-below", "0.6"])
         assert rc == 1
 
+    def test_perf_regression_leaves_the_report_untouched(self, tmp_path, monkeypatch):
+        def report(value):
+            return {
+                "python": "3", "quick": True, "repeat": 1,
+                "benchmarks": [
+                    {"name": "event_throughput", "metric": "events_per_s", "value": value}
+                ],
+            }
+
+        path = tmp_path / "bench.json"
+        write_bench_file(report(1000.0), str(path))
+        before = path.read_bytes()
+        argv = ["perf", "--quick", "--repeat", "1", "--json", str(path), "--fail-below", "0.6"]
+        monkeypatch.setattr(
+            "repro.perf.microbench.run_microbenchmarks", lambda quick, repeat: report(10.0)
+        )
+        assert main(argv) == 1
+        assert path.read_bytes() == before
+        assert main(argv) == 1  # a rerun still compares against the old numbers
+        # A run that holds the bar rewrites the report.
+        monkeypatch.setattr(
+            "repro.perf.microbench.run_microbenchmarks", lambda quick, repeat: report(900.0)
+        )
+        assert main(argv) == 0
+        assert load_bench_file(str(path))["benchmarks"][0]["value"] == 900.0
+
     def test_perf_carries_baseline_forward(self, tmp_path):
         path = tmp_path / "bench.json"
         report = run_microbenchmarks(quick=True, repeat=1)

@@ -4,7 +4,7 @@ with flow control, accept coalescing, and the batch-timer fix.
 Covers four layers: the group-commit scheduler on the disk model
 (single fsync covering a window of appends, crash semantics), pipeline
 flow control in the leader (bounded in-flight slots + admission queue),
-accept coalescing on the wire (AcceptBatch/AcceptedBatch), and the
+accept coalescing on the wire (multi-slot Accept/Accepted runs), and the
 zero-perturbation guarantee that all knobs at their defaults leave
 deployments byte-identical to builds that never had them.
 """
@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from repro.consensus.commands import Command
 from repro.consensus.harness import build_cluster
+from repro.consensus.messages import Accept, Accepted, Prepare, Promise
 from repro.consensus.replica import PaxosConfig
 from repro.harness.builders import (
     DeploymentParams,
@@ -218,15 +221,20 @@ class TestAcceptCoalescing:
             ),
             seed=3,
         )
-        # The network wraps everything in RPC envelopes, so count message
-        # types where the replicas actually receive them.
-        by_type: dict[str, int] = {}
+        # The network wraps everything in RPC envelopes, so record run
+        # lengths where the replicas actually receive the messages: one
+        # entry per delivered Accept (slots carried) and per Accepted
+        # (slots acked).
+        accept_runs: list[int] = []
+        accepted_runs: list[int] = []
         for host in hosts:
             original = host.replica.on_message
 
             def wrapped(src, msg, _orig=original):
-                name = type(msg).__name__
-                by_type[name] = by_type.get(name, 0) + 1
+                if type(msg) is Accept:
+                    accept_runs.append(len(msg.commands))
+                elif type(msg) is Accepted:
+                    accepted_runs.append(len(msg.slots))
                 return _orig(src, msg)
 
             host.replica.on_message = wrapped
@@ -235,21 +243,21 @@ class TestAcceptCoalescing:
         assert all(f.result() == i for i, f in enumerate(futures))
         for host in hosts:
             assert app_payloads(host) == list(range(24))
-        return by_type
+        return accept_runs, accepted_runs
 
     def test_bursts_pack_into_accept_batches(self):
-        by_type = self.run_burst(coalescing=True)
-        assert by_type.get("AcceptBatch", 0) > 0
-        assert by_type.get("AcceptedBatch", 0) > 0
+        accepts, accepteds = self.run_burst(coalescing=True)
+        assert max(accepts) > 1
+        assert max(accepteds) > 1
         # A 24-op burst costs far fewer than 24 Accepts per peer.
-        plain = self.run_burst(coalescing=False)
-        batched_total = by_type.get("Accept", 0) + by_type.get("AcceptBatch", 0)
-        assert batched_total < 0.5 * plain.get("Accept", 0)
+        plain_accepts, _ = self.run_burst(coalescing=False)
+        assert len(accepts) < 0.5 * len(plain_accepts)
 
     def test_coalescing_off_sends_no_batches(self):
-        by_type = self.run_burst(coalescing=False)
-        assert "AcceptBatch" not in by_type
-        assert "AcceptedBatch" not in by_type
+        accepts, accepteds = self.run_burst(coalescing=False)
+        assert len(accepts) >= 24 * 3
+        assert set(accepts) == {1}
+        assert accepteds and set(accepteds) == {1}
 
     def test_retry_after_partition_retransmits_batches(self):
         sim, net, hosts = make_cluster(
@@ -265,11 +273,97 @@ class TestAcceptCoalescing:
 
 
 # ---------------------------------------------------------------------------
+# Acceptor IO errors: a slot whose WAL append failed is never acked
+# ---------------------------------------------------------------------------
+def record_sends(replica):
+    """Every message ``replica`` sends, in order."""
+    sent = []
+    send = replica.transport.send
+
+    def recording(dst, msg):
+        sent.append(msg)
+        send(dst, msg)
+
+    replica.transport.send = recording
+    return sent
+
+
+class TestAcceptorIoError:
+    @pytest.mark.parametrize("coalescing", [False, True])
+    def test_failed_accept_appends_are_never_acked(self, coalescing):
+        sim, net, hosts = make_cluster(
+            PaxosConfig(accept_coalescing=coalescing, **FAST), storage=StorageConfig()
+        )
+        follower = hosts[1]
+        storage = follower.replica.storage
+        # n1 is the leader's only reachable peer, so nothing is chosen
+        # without its acks.
+        net.block("n0", "n2")
+        # The disk fails exactly while n1 handles an Accept and is healthy
+        # again by the time the covering fsync completes: only the
+        # append-time check stands between the failed slots and an ack.
+        failing = [True]
+        runs = []
+        deliver = follower.replica.on_message
+
+        def flaky(src, msg):
+            if type(msg) is Accept and failing[0]:
+                runs.append(len(msg.commands))
+                follower.disk.io_error = True
+                try:
+                    deliver(src, msg)
+                finally:
+                    follower.disk.io_error = False
+            else:
+                deliver(src, msg)
+
+        follower.replica.on_message = flaky
+        sent = record_sends(follower.replica)
+        futures = [hosts[0].propose(Command.app(i)) for i in range(6)]
+        slots = sorted(hosts[0].replica._pending)
+        assert len(slots) == 6
+        sim.run_for(1.0)  # the first send plus at least one retry round
+        if coalescing:
+            assert max(runs) > 1
+        else:
+            assert len(runs) >= 6 and set(runs) == {1}
+        acked = [s for m in sent if type(m) is Accepted for s in m.slots]
+        assert not set(acked) & set(slots)
+        assert not set(storage.acked_accepts) & set(slots)
+        assert not any(f.done for f in futures)
+
+        failing[0] = False
+        sim.run_for(3.0)  # the leader's retry tick resends; n1 now acks
+        assert [f.result() for f in futures] == list(range(6))
+        assert all(hosts[0].replica.log.is_chosen(s) for s in slots)
+        assert set(slots) <= set(storage.acked_accepts)
+
+    def test_failed_promise_append_sends_no_promise(self):
+        sim, net, hosts = make_cluster(PaxosConfig(**FAST), storage=StorageConfig())
+        replica = hosts[1].replica
+        sent = record_sends(replica)
+        # From the current leader, so the lease guard lets it through.
+        ballot = (replica.promised[0] + 1, "n0")
+        hosts[1].disk.io_error = True
+        replica.on_message("n0", Prepare(ballot=ballot, from_slot=0))
+        hosts[1].disk.io_error = False
+        sim.run_for(0.1)
+        assert not any(type(m) is Promise for m in sent)
+        assert replica.storage.acked_promise < ballot
+
+        higher = (ballot[0] + 1, "n0")
+        replica.on_message("n0", Prepare(ballot=higher, from_slot=0))
+        sim.run_for(0.1)
+        assert [m.ballot for m in sent if type(m) is Promise] == [higher]
+        assert replica.storage.acked_promise == higher
+
+
+# ---------------------------------------------------------------------------
 # Stale batch-window timer (satellite fix)
 # ---------------------------------------------------------------------------
 class TestBatchTimerCancel:
     def test_early_flush_cancels_window_timer(self):
-        config = PaxosConfig(batch=True, batch_window=0.05, batch_max=4, **FAST)
+        config = PaxosConfig(batch_window=0.05, batch_max=4, **FAST)
         sim, net, hosts = make_cluster(config)
         replica = hosts[0].replica
         t0 = sim.now
@@ -324,7 +418,7 @@ def _drive(seed, *, paxos_extra=None, storage=None, msg_service_time=0.0):
     )
 
 
-FULL_STACK = dict(batch=True, pipeline_depth=8, accept_coalescing=True)
+FULL_STACK = dict(batch_max=16, pipeline_depth=8, accept_coalescing=True)
 
 
 class TestZeroPerturbation:
